@@ -1,9 +1,11 @@
 package core
 
 import (
+	"crypto/tls"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -434,5 +436,39 @@ func TestCampaignInstrumentation(t *testing.T) {
 	}
 	if table := snap.StageTable("stage."); !strings.Contains(table, "session_ns") {
 		t.Errorf("stage table missing session stage:\n%s", table)
+	}
+}
+
+// hitCountingCache counts the lookups a TLS session cache answers.
+type hitCountingCache struct {
+	tls.ClientSessionCache
+	hits atomic.Int64
+}
+
+func (c *hitCountingCache) Get(key string) (*tls.ClientSessionState, bool) {
+	s, ok := c.ClientSessionCache.Get(key)
+	if ok {
+		c.hits.Add(1)
+	}
+	return s, ok
+}
+
+// TestRunnerSharesUpstreamSessions: every experiment's proxy uses the
+// runner's proxy→origin session cache, so a later experiment finds the
+// sessions an earlier one stored.
+func TestRunnerSharesUpstreamSessions(t *testing.T) {
+	r := testRunner(t, Options{Scale: 0.05}, "weathernow")
+	cache := &hitCountingCache{ClientSessionCache: r.upstream}
+	r.upstream = cache
+	s := spec(t, r, "weathernow")
+	if _, err := r.RunExperiment(s, services.Cell{OS: services.Android, Medium: services.App}); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.hits.Load()
+	if _, err := r.RunExperiment(s, services.Cell{OS: services.IOS, Medium: services.App}); err != nil {
+		t.Fatal(err)
+	}
+	if cache.hits.Load() == before {
+		t.Fatal("the second experiment's proxy found no session the first one stored")
 	}
 }

@@ -30,6 +30,7 @@ var descriptions = map[string]MetricDesc{
 	"proxy.requests_total":             {Type: "counter", Help: "Request/response exchanges served (plaintext + tunneled), across every proxy instance in the process."},
 	"proxy.tunnels_total":              {Type: "counter", Help: "CONNECT tunnels accepted."},
 	"proxy.tunnel_failures_total":      {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
+	"proxy.tls.intercept_handshakes":   {Type: "counter", Labels: []string{"resumed"}, Help: "Completed intercept TLS handshakes, by whether the device resumed an earlier session with the proxy (true) or ran a full handshake (false)."},
 	"proxy.upstream_errors_total":      {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
 	"proxy.bytes_up_total":             {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
 	"proxy.bytes_down_total":           {Type: "counter", Help: "Approximate response wire bytes through all proxies."},

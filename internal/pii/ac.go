@@ -1,5 +1,7 @@
 package pii
 
+import "sort"
+
 // Single-pass multi-pattern matching (docs/performance.md): the Matcher
 // compiles every (value, encoding) needle into one Aho–Corasick automaton
 // at construction, so scanning a flow section costs one pass over its
@@ -47,9 +49,11 @@ func buildAutomaton(needles []needle) *automaton {
 
 	// Assign byte classes. Class 0 is reserved for bytes no needle
 	// contains; from any state such a byte can only lead back to the root.
+	folded := make([]string, len(needles))
 	nc := 1
 	for i := range needles {
 		t := foldNeedle(&needles[i])
+		folded[i] = t
 		for j := 0; j < len(t); j++ {
 			if b := t[j]; a.classOf[b] == 0 && nc < 257 {
 				a.classOf[b] = uint16(nc)
@@ -59,59 +63,57 @@ func buildAutomaton(needles []needle) *automaton {
 	}
 	a.numClasses = nc
 
-	// Build the goto trie.
-	type trieNode struct {
-		children map[uint16]int32
-		fail     int32
-		outs     []int32
+	// Build the goto trie straight into the dense rows, with -1 marking
+	// an edge the BFS below has yet to resolve. The table is sized once:
+	// each folded needle adds one state per byte past its longest common
+	// prefix with its predecessor in sorted order.
+	nodes := trieSize(folded)
+	a.next = make([]int32, nodes*nc)
+	for i := range a.next {
+		a.next[i] = -1
 	}
-	nodes := []trieNode{{children: map[uint16]int32{}}}
-	for i := range needles {
-		t := foldNeedle(&needles[i])
+	a.outputs = make([][]int32, nodes)
+	n := int32(1)
+	for i, t := range folded {
 		s := int32(0)
 		for j := 0; j < len(t); j++ {
-			c := a.classOf[t[j]]
-			nx, ok := nodes[s].children[c]
-			if !ok {
-				nx = int32(len(nodes))
-				nodes = append(nodes, trieNode{children: map[uint16]int32{}})
-				nodes[s].children[c] = nx
+			e := int(s)*nc + int(a.classOf[t[j]])
+			if a.next[e] < 0 {
+				a.next[e] = n
+				n++
 			}
-			s = nx
+			s = a.next[e]
 		}
-		nodes[s].outs = append(nodes[s].outs, int32(i))
+		a.outputs[s] = append(a.outputs[s], int32(i))
 	}
 
 	// BFS: compute fail links, pre-merge outputs, and resolve the dense
 	// DFA row of each state. A state's fail has strictly smaller depth, so
-	// its row and merged outputs are always complete when needed.
-	a.next = make([]int32, len(nodes)*nc)
-	a.outputs = make([][]int32, len(nodes))
-	a.outputs[0] = nodes[0].outs
-	queue := make([]int32, 0, len(nodes))
+	// its row and merged outputs are always complete when needed; a
+	// state's own row still holds only its trie children (>0) and -1.
+	fail := make([]int32, nodes)
+	queue := make([]int32, 0, nodes)
 	for c := 0; c < nc; c++ {
-		if nx, ok := nodes[0].children[uint16(c)]; ok {
-			a.next[c] = nx
+		if nx := a.next[c]; nx > 0 {
 			queue = append(queue, nx)
+		} else {
+			a.next[c] = 0
 		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		s := queue[qi]
-		n := &nodes[s]
-		f := n.fail
+		f := fail[s]
 		if fo := a.outputs[f]; len(fo) > 0 {
-			merged := make([]int32, 0, len(n.outs)+len(fo))
-			merged = append(merged, n.outs...)
+			own := a.outputs[s]
+			merged := make([]int32, 0, len(own)+len(fo))
+			merged = append(merged, own...)
 			a.outputs[s] = append(merged, fo...)
-		} else if len(n.outs) > 0 {
-			a.outputs[s] = n.outs
 		}
 		row := int(s) * nc
 		frow := int(f) * nc
 		for c := 0; c < nc; c++ {
-			if nx, ok := n.children[uint16(c)]; ok {
-				a.next[row+c] = nx
-				nodes[nx].fail = a.next[frow+c]
+			if nx := a.next[row+c]; nx > 0 {
+				fail[nx] = a.next[frow+c]
 				queue = append(queue, nx)
 			} else {
 				a.next[row+c] = a.next[frow+c]
@@ -119,6 +121,24 @@ func buildAutomaton(needles []needle) *automaton {
 		}
 	}
 	return a
+}
+
+// trieSize counts the states of the trie over the given strings, root
+// included: sorted, each string shares its longest common prefix with its
+// predecessor and adds a state for every byte beyond it.
+func trieSize(folded []string) int {
+	sorted := append([]string(nil), folded...)
+	sort.Strings(sorted)
+	n, prev := 1, ""
+	for _, t := range sorted {
+		k := 0
+		for k < len(t) && k < len(prev) && t[k] == prev[k] {
+			k++
+		}
+		n += len(t) - k
+		prev = t
+	}
+	return n
 }
 
 // NumStates reports the automaton's state count (sizing/diagnostics).

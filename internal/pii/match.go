@@ -85,7 +85,21 @@ const minNeedleLen = 3
 
 // NewMatcher precompiles the search needles for a ground-truth record.
 func NewMatcher(rec *Record) *Matcher {
-	m := &Matcher{}
+	m := &Matcher{needles: buildNeedles(rec)}
+	for i := range m.needles {
+		if n := len(m.needles[i].text) - 1; n > m.maxLookbehind {
+			m.maxLookbehind = n
+		}
+	}
+	m.ac = buildAutomaton(m.needles)
+	m.scanners.New = func() any { return m.NewScanner() }
+	return m
+}
+
+// buildNeedles generates the record's (value, encoding) needles, one per
+// distinct wire form, in value-then-encoding order.
+func buildNeedles(rec *Record) []needle {
+	var needles []needle
 	encs := Encoders()
 	seen := make(map[string]bool)
 	for _, v := range rec.Values() {
@@ -108,7 +122,7 @@ func NewMatcher(rec *Record) *Matcher {
 				continue
 			}
 			seen[key] = true
-			m.needles = append(m.needles, needle{
+			needles = append(needles, needle{
 				text:      t,
 				plaintext: v.Text,
 				typ:       v.Type,
@@ -117,14 +131,7 @@ func NewMatcher(rec *Record) *Matcher {
 			})
 		}
 	}
-	for i := range m.needles {
-		if n := len(m.needles[i].text) - 1; n > m.maxLookbehind {
-			m.maxLookbehind = n
-		}
-	}
-	m.ac = buildAutomaton(m.needles)
-	m.scanners.New = func() any { return m.NewScanner() }
-	return m
+	return needles
 }
 
 // NumNeedles reports how many precompiled needles the matcher scans for.

@@ -58,9 +58,14 @@ type Config struct {
 	// because by this point interception has demonstrably worked.
 	// Defaults to 5m; negative disables.
 	IdleTimeout time.Duration
-	// DisableTLSResume turns off the upstream TLS session cache; used by
-	// the ablation bench.
-	DisableTLSResume bool
+	// UpstreamSessions caches the proxy's TLS sessions with upstream
+	// servers, so a later handshake with the same host resumes instead of
+	// running in full. Nil gives the proxy a cache of its own. Proxies
+	// may share one cache — the campaign runner passes one to every
+	// experiment — but only while they share OriginPool: a resumed session
+	// skips chain verification, so a cache must not outlive the roots
+	// that verified its sessions.
+	UpstreamSessions tls.ClientSessionCache
 	// Rewriter, when set, may rewrite each intercepted request before it
 	// is forwarded upstream — the ReCon-style protection mode the paper's
 	// conclusion proposes. Recorded flows reflect what actually reached
@@ -93,11 +98,17 @@ type Rewriter interface {
 
 // Proxy is a recording HTTP(S) forward proxy.
 type Proxy struct {
-	cfg      Config
-	upstream *http.Transport
-	rt       http.RoundTripper // p.upstream, swappable by benchmarks
-	srv      *http.Server
-	ln       net.Listener
+	cfg Config
+	// intercept terminates every CONNECT tunnel. One config per proxy
+	// means one set of session-ticket keys, so a device that reconnects
+	// to a host resumes its earlier session instead of running a full
+	// handshake; the leaf is picked per connection from SNI, or from the
+	// CONNECT host the notifyConn carries.
+	intercept *tls.Config
+	upstream  *http.Transport
+	rt        http.RoundTripper // p.upstream, swappable by benchmarks
+	srv       *http.Server
+	ln        net.Listener
 
 	mu     sync.Mutex
 	closed bool
@@ -143,6 +154,10 @@ type proxyMetrics struct {
 	wsFramesUp         *obs.Counter
 	wsFramesDown       *obs.Counter
 	wsBytes            *obs.Counter
+	// interceptFull and interceptResumed split completed intercept
+	// handshakes by whether the device resumed a session.
+	interceptFull    *obs.Counter
+	interceptResumed *obs.Counter
 }
 
 func newProxyMetrics(reg *obs.Registry) proxyMetrics {
@@ -150,6 +165,7 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 		reg = obs.Default
 	}
 	wsFrames := reg.CounterVec("proxy.ws.frames", "dir")
+	handshakes := reg.CounterVec("proxy.tls.intercept_handshakes", "resumed")
 	return proxyMetrics{
 		requests:           reg.Counter("proxy.requests_total"),
 		tunnels:            reg.Counter("proxy.tunnels_total"),
@@ -159,6 +175,8 @@ func newProxyMetrics(reg *obs.Registry) proxyMetrics {
 		bytesUp:            reg.Counter("proxy.bytes_up_total"),
 		bytesDown:          reg.Counter("proxy.bytes_down_total"),
 		flowBytes:          reg.Histogram("proxy.flow_bytes", "bytes"),
+		interceptFull:      handshakes.WithLabelValues("false"),
+		interceptResumed:   handshakes.WithLabelValues("true"),
 		h2Conns:            reg.Counter("proxy.h2.conns_total"),
 		h2Streams:          reg.Counter("proxy.h2.streams_total"),
 		h2StreamIDFallback: reg.Counter("proxy.h2.streamid_fallback_total"),
@@ -221,23 +239,42 @@ func New(cfg Config) (*Proxy, error) {
 	} else if cfg.IdleTimeout < 0 {
 		cfg.IdleTimeout = 0
 	}
-	tlsCfg := &tls.Config{RootCAs: cfg.OriginPool}
-	if !cfg.DisableTLSResume {
-		tlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(256)
+	if cfg.UpstreamSessions == nil {
+		cfg.UpstreamSessions = tls.NewLRUClientSessionCache(256)
 	}
 	p := &Proxy{
 		cfg:     cfg,
 		metrics: newProxyMetrics(cfg.Metrics),
 		upstream: &http.Transport{
-			DialContext:         DialContext(cfg.Resolver),
-			TLSClientConfig:     tlsCfg,
+			DialContext: DialContext(cfg.Resolver),
+			TLSClientConfig: &tls.Config{
+				RootCAs:            cfg.OriginPool,
+				ClientSessionCache: cfg.UpstreamSessions,
+			},
 			MaxIdleConnsPerHost: 8,
 			IdleConnTimeout:     30 * time.Second,
 		},
 	}
+	if cfg.CA != nil {
+		p.intercept = &tls.Config{
+			GetCertificate: p.interceptCert,
+			NextProtos:     []string{"h2", "http/1.1"},
+		}
+	}
 	p.rt = p.upstream
 	p.srv = &http.Server{Handler: p}
 	return p, nil
+}
+
+// interceptCert mints (or reuses) the leaf for one intercepted
+// connection, falling back to the CONNECT host for clients that send no
+// SNI.
+func (p *Proxy) interceptCert(chi *tls.ClientHelloInfo) (*tls.Certificate, error) {
+	var host string
+	if nc, ok := chi.Conn.(*notifyConn); ok {
+		host = nc.host
+	}
+	return p.cfg.CA.GetCertificate(host)(chi)
 }
 
 // Start listens on an ephemeral loopback port and serves until Close.
@@ -342,11 +379,11 @@ func (p *Proxy) handleHTTP(w http.ResponseWriter, r *http.Request) {
 		f.ResponseHeaders = map[string]string{"Content-Type": "text/plain; charset=utf-8"}
 		f.ResponseSize = int64(len(page))
 		f.BytesDown = int64(len(page))
+		p.recordStats(f)
+		p.cfg.Sink.Record(f)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusForbidden)
 		w.Write(page) //nolint:errcheck // client teardown is not an error
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
 		return
 	}
 	absURL, body, rewritten := p.rewrite(host, true, absURL, body)
@@ -361,6 +398,8 @@ func (p *Proxy) handleHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.finishFlow(f, resp, respBody)
+	p.recordStats(f)
+	p.cfg.Sink.Record(f)
 	for k, vv := range resp.Header {
 		for _, v := range vv {
 			w.Header().Add(k, v)
@@ -368,8 +407,6 @@ func (p *Proxy) handleHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	w.Write(respBody) //nolint:errcheck // client teardown is not an error
-	p.recordStats(f)
-	p.cfg.Sink.Record(f)
 }
 
 // handleConnect hijacks the connection, terminates TLS with a minted
@@ -401,7 +438,7 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 	// The close-notifying wrapper lets the h2 serving path learn when the
 	// bundled HTTP/2 server (which owns the conn after handoff) is done
 	// with it; for h1 and WS tunnels it is inert.
-	raw := newNotifyConn(rawConn)
+	raw := newNotifyConn(rawConn, host)
 	defer raw.Close()
 	start := p.cfg.Now()
 	// The deadline covers both the 200 write and the TLS handshake: a
@@ -417,10 +454,7 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tlsConn := tls.Server(raw, &tls.Config{
-		GetCertificate: p.cfg.CA.GetCertificate(host),
-		NextProtos:     []string{"h2", "http/1.1"},
-	})
+	tlsConn := tls.Server(raw, p.intercept)
 	defer tlsConn.Close()
 	if err := tlsConn.HandshakeContext(r.Context()); err != nil {
 		reason := "handshake: " + err.Error()
@@ -438,8 +472,10 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 		p.recordTunnelFailure(start, host, "connect setup: lift handshake deadline: "+err.Error())
 		return
 	}
+	state := tlsConn.ConnectionState()
+	p.recordHandshake(state.DidResume)
 
-	if tlsConn.ConnectionState().NegotiatedProtocol == "h2" {
+	if state.NegotiatedProtocol == "h2" {
 		p.serveH2Tunnel(tlsConn, raw, host)
 		return
 	}
@@ -482,6 +518,15 @@ func (p *Proxy) handleConnect(w http.ResponseWriter, r *http.Request) {
 		}
 		served++
 	}
+}
+
+// recordHandshake counts one completed intercept handshake.
+func (p *Proxy) recordHandshake(resumed bool) {
+	if resumed {
+		p.metrics.interceptResumed.Inc()
+		return
+	}
+	p.metrics.interceptFull.Inc()
 }
 
 // recordTunnelIdle accounts an established tunnel reaped by IdleTimeout —
@@ -531,17 +576,13 @@ func (p *Proxy) serveTunneledRequest(conn net.Conn, r *http.Request, tunnelHost 
 		f.ResponseHeaders = map[string]string{"Content-Type": "text/plain; charset=utf-8"}
 		f.ResponseSize = int64(len(page))
 		hdr := http.Header{"Content-Type": []string{"text/plain; charset=utf-8"}}
-		n, werr := writeSimpleResponse(conn, http.StatusForbidden, hdr, page)
 		// Leak-table byte totals must count the upstream cost of blocked
 		// requests too (the client paid it even though nothing was
 		// forwarded); mirror the upstream-error path's accounting.
 		f.BytesUp = requestWireSize(r, body)
-		f.BytesDown = n
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
 		// The request was refused, not the tunnel: later requests on the
 		// same connection get their own verdicts.
-		return werr == nil
+		return p.respond(conn, f, http.StatusForbidden, hdr, page) == nil
 	}
 	absURL, body, rewritten := p.rewrite(reqHost, false, absURL, body)
 	out := p.outboundRequest(r, absURL, body)
@@ -553,21 +594,27 @@ func (p *Proxy) serveTunneledRequest(conn net.Conn, r *http.Request, tunnelHost 
 	if upErr != nil {
 		f.Status = http.StatusBadGateway
 		f.ResponseHeaders = map[string]string{"X-Proxy-Error": upErr.Error()}
-		n, _ := writeSimpleResponse(conn, http.StatusBadGateway, nil, nil)
 		f.BytesUp = requestWireSize(r, body)
-		f.BytesDown = n
 		p.stats.upstreamErrors.Add(1)
 		p.metrics.upstreamErrors.Inc()
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
+		p.respond(conn, f, http.StatusBadGateway, nil, nil) //nolint:errcheck // the tunnel ends either way
 		return false
 	}
 	p.finishFlow(f, resp, respBody)
-	n, werr := writeSimpleResponse(conn, resp.StatusCode, resp.Header, respBody)
-	f.BytesDown = n
+	return p.respond(conn, f, resp.StatusCode, resp.Header, respBody) == nil
+}
+
+// respond records a tunneled exchange's flow, with BytesDown set to the
+// serialized response's size, and then writes that response to the
+// client. Recording first means a client that has read its response can
+// rely on the flow being in the Sink.
+func (p *Proxy) respond(w io.Writer, f *capture.Flow, status int, header http.Header, body []byte) error {
+	resp := simpleResponse(status, header, body)
+	f.BytesDown = int64(len(resp))
 	p.recordStats(f)
 	p.cfg.Sink.Record(f)
-	return werr == nil
+	_, err := w.Write(resp)
+	return err
 }
 
 // rewrite applies the configured protection rewriter, if any.
@@ -669,11 +716,11 @@ func (p *Proxy) finishFlow(f *capture.Flow, resp *http.Response, respBody []byte
 func (p *Proxy) writeError(w http.ResponseWriter, f *capture.Flow, err error) {
 	f.Status = http.StatusBadGateway
 	f.ResponseHeaders = map[string]string{"X-Proxy-Error": err.Error()}
-	http.Error(w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
 	p.stats.upstreamErrors.Add(1)
 	p.metrics.upstreamErrors.Inc()
 	p.recordStats(f)
 	p.cfg.Sink.Record(f)
+	http.Error(w, "proxy: upstream: "+err.Error(), http.StatusBadGateway)
 }
 
 // recordStats folds one completed exchange into the per-proxy counters and
@@ -741,9 +788,8 @@ func responseWireSize(resp *http.Response, body []byte) int64 {
 	return n + 2 + int64(len(body))
 }
 
-// writeSimpleResponse serializes a response with an explicit
-// Content-Length, returning the bytes written.
-func writeSimpleResponse(w io.Writer, status int, header http.Header, body []byte) (int64, error) {
+// simpleResponse serializes a response with an explicit Content-Length.
+func simpleResponse(status int, header http.Header, body []byte) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, http.StatusText(status))
 	keys := make([]string, 0, len(header))
@@ -761,8 +807,7 @@ func writeSimpleResponse(w io.Writer, status int, header http.Header, body []byt
 	}
 	fmt.Fprintf(&b, "Content-Length: %d\r\n\r\n", len(body))
 	b.Write(body)
-	n, err := w.Write(b.Bytes())
-	return int64(n), err
+	return b.Bytes()
 }
 
 func isHopHeader(k string) bool {
@@ -796,15 +841,18 @@ func putTunnelReader(br *bufio.Reader) {
 // closes a channel on first Close. The h2 tunnel path needs it: the
 // bundled HTTP/2 server owns the *tls.Conn after handoff and closes it
 // when the session ends, and that close (propagating to this wrapper) is
-// the only completion signal available to the tunnel goroutine.
+// the only completion signal available to the tunnel goroutine. It also
+// carries the CONNECT host, which the shared intercept config falls back
+// to when the client sends no SNI.
 type notifyConn struct {
 	net.Conn
+	host string
 	once sync.Once
 	done chan struct{}
 }
 
-func newNotifyConn(c net.Conn) *notifyConn {
-	return &notifyConn{Conn: c, done: make(chan struct{})}
+func newNotifyConn(c net.Conn, host string) *notifyConn {
+	return &notifyConn{Conn: c, host: host, done: make(chan struct{})}
 }
 
 func (c *notifyConn) Close() error {

@@ -60,12 +60,9 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 		f := p.newFlow(start, capture.WS, r, reqHost, absURL, nil, true)
 		f.Status = http.StatusBadGateway
 		f.ResponseHeaders = map[string]string{"X-Proxy-Error": err.Error()}
-		n, _ := writeSimpleResponse(clientConn, http.StatusBadGateway, nil, nil)
-		f.BytesDown = n
 		p.stats.upstreamErrors.Add(1)
 		p.metrics.upstreamErrors.Inc()
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
+		p.respond(clientConn, f, http.StatusBadGateway, nil, nil) //nolint:errcheck // the tunnel ends either way
 	}
 
 	up, err := p.dialOriginTLS(r.Context(), reqHost)
@@ -93,10 +90,7 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 		resp.Body.Close()
 		f := p.newFlow(start, capture.HTTPS, r, reqHost, "https://"+reqHost+r.RequestURI, nil, true)
 		p.finishFlow(f, resp, respBody)
-		n, _ := writeSimpleResponse(clientConn, resp.StatusCode, resp.Header, respBody)
-		f.BytesDown = n
-		p.recordStats(f)
-		p.cfg.Sink.Record(f)
+		p.respond(clientConn, f, resp.StatusCode, resp.Header, respBody) //nolint:errcheck // the tunnel ends either way
 		return
 	}
 	resp.Body.Close()
@@ -175,8 +169,9 @@ func (p *Proxy) dialOriginTLS(ctx context.Context, host string) (*tls.Conn, erro
 		return nil, err
 	}
 	tc := tls.Client(raw, &tls.Config{
-		RootCAs:    p.cfg.OriginPool,
-		ServerName: host,
+		RootCAs:            p.cfg.OriginPool,
+		ServerName:         host,
+		ClientSessionCache: p.cfg.UpstreamSessions,
 	})
 	tc.SetDeadline(time.Now().Add(p.cfg.HandshakeTimeout)) //nolint:errcheck // TCP conns accept deadlines
 	if err := tc.HandshakeContext(ctx); err != nil {
