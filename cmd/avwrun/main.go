@@ -411,7 +411,8 @@ func printProgress(ev core.ProgressEvent) {
 }
 
 // printTimingTable prints where the campaign's wall-clock time went,
-// per pipeline stage, from the process-wide registry.
+// per pipeline stage, and what its TLS cost was (intercept handshakes and
+// upstream dials), from the process-wide registry.
 func printTimingTable() {
 	snap := obs.Default.Snapshot()
 	fmt.Fprintln(os.Stderr, "\ncampaign stage timings (wall clock):")
@@ -423,6 +424,10 @@ func printTimingTable() {
 			time.Duration(exp.P95).Round(time.Microsecond),
 			time.Duration(exp.Max).Round(time.Microsecond))
 	}
+	fmt.Fprintf(os.Stderr, "tls: intercept handshakes %d full + %d resumed, upstream dials %d\n",
+		snap.Counters["proxy.tls.intercept_handshakes.false"],
+		snap.Counters["proxy.tls.intercept_handshakes.true"],
+		snap.Counters["proxy.upstream_dials_total"])
 }
 
 // printSelectionAudit reproduces the §3.1 procedure: crawl, eligibility,

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"crypto/tls"
+	"context"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -439,36 +439,52 @@ func TestCampaignInstrumentation(t *testing.T) {
 	}
 }
 
-// hitCountingCache counts the lookups a TLS session cache answers.
-type hitCountingCache struct {
-	tls.ClientSessionCache
-	hits atomic.Int64
-}
-
-func (c *hitCountingCache) Get(key string) (*tls.ClientSessionState, bool) {
-	s, ok := c.ClientSessionCache.Get(key)
-	if ok {
-		c.hits.Add(1)
+// TestRunnerSharesUpstreamPool: every experiment's proxy uses the
+// runner's proxy→origin pool, so a later experiment sends its requests
+// down connections an earlier one opened instead of dialing the same
+// origins again.
+func TestRunnerSharesUpstreamPool(t *testing.T) {
+	reg := obs.New()
+	r := testRunner(t, Options{Scale: 0.05, Metrics: reg}, "weathernow")
+	var mu sync.Mutex
+	var dialed []string // origin host:port per dial, in order
+	dial := r.upstream.DialContext
+	r.upstream.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		mu.Lock()
+		dialed = append(dialed, addr)
+		mu.Unlock()
+		return dial(ctx, network, addr)
 	}
-	return s, ok
-}
-
-// TestRunnerSharesUpstreamSessions: every experiment's proxy uses the
-// runner's proxy→origin session cache, so a later experiment finds the
-// sessions an earlier one stored.
-func TestRunnerSharesUpstreamSessions(t *testing.T) {
-	r := testRunner(t, Options{Scale: 0.05}, "weathernow")
-	cache := &hitCountingCache{ClientSessionCache: r.upstream}
-	r.upstream = cache
+	dials := reg.Counter("proxy.upstream_dials_total")
 	s := spec(t, r, "weathernow")
 	if _, err := r.RunExperiment(s, services.Cell{OS: services.Android, Medium: services.App}); err != nil {
 		t.Fatal(err)
 	}
-	before := cache.hits.Load()
-	if _, err := r.RunExperiment(s, services.Cell{OS: services.IOS, Medium: services.App}); err != nil {
+	first := dials.Value()
+	if first == 0 {
+		t.Fatal("proxy.upstream_dials_total = 0 after the first experiment: its proxy did not dial through the runner's pool")
+	}
+	res, err := r.RunExperiment(s, services.Cell{OS: services.IOS, Medium: services.App})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.hits.Load() == before {
-		t.Fatal("the second experiment's proxy found no session the first one stored")
+	mu.Lock()
+	defer mu.Unlock()
+	if got := dials.Value(); got != int64(len(dialed)) {
+		t.Fatalf("proxy.upstream_dials_total = %d, but the runner's pool dialed %d times", got, len(dialed))
+	}
+	used := map[string]bool{}
+	for _, addr := range dialed[:first] {
+		used[addr] = true
+	}
+	for _, addr := range dialed[first:] {
+		if used[addr] {
+			t.Errorf("the second experiment dialed %s again, which the first experiment left in the pool", addr)
+		}
+	}
+	second := int64(len(dialed)) - first
+	t.Logf("upstream dials: %d in the first experiment, %d in the second (%d requests)", first, second, res.Requests)
+	if second >= int64(res.Requests) {
+		t.Errorf("the second experiment dialed %d times for %d requests: it reused nothing", second, res.Requests)
 	}
 }

@@ -17,6 +17,7 @@ import (
 const (
 	StageProxy    = "proxy"    // proxy construction and listener start
 	StageSession  = "session"  // the scripted device session
+	StageDrain    = "drain"    // waiting for the proxy's tunnels to record their flows
 	StageAnalysis = "analysis" // the §3.2 analysis pipeline
 	StageTrace    = "trace"    // persisting the per-experiment flow trace
 )
@@ -54,9 +55,10 @@ type retryableErr interface{ Retryable() bool }
 // and timeouts (the ReCon/PrivacyProxy failure model), so proxy and
 // session failures default to retryable; a canceled context is never
 // retried (the campaign is shutting down), while a deadline is (the next
-// attempt gets a fresh per-experiment deadline). Analysis and trace-
-// persistence failures are deterministic — retrying replays the same
-// inputs — so they are fatal.
+// attempt gets a fresh per-experiment deadline). A drain timeout is
+// retryable too: a tunnel that outlived its session is a timing fault.
+// Analysis and trace-persistence failures are deterministic — retrying
+// replays the same inputs — so they are fatal.
 func classifyRetryable(stage string, err error) bool {
 	var rt retryableErr
 	if errors.As(err, &rt) {
@@ -73,7 +75,7 @@ func classifyRetryable(stage string, err error) bool {
 		return true
 	}
 	switch stage {
-	case StageProxy, StageSession:
+	case StageProxy, StageSession, StageDrain:
 		return true
 	default:
 		return false

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"appvsweb/internal/obs"
+	"appvsweb/internal/proxy"
 	"appvsweb/internal/services"
 )
 
@@ -77,11 +81,47 @@ func TestClassifyRetryable(t *testing.T) {
 		{"unknown session errors default to transient", StageSession, errors.New("boom"), true},
 		{"unknown proxy errors default to transient", StageProxy, errors.New("boom"), true},
 		{"analysis errors are deterministic, hence fatal", StageAnalysis, errors.New("boom"), false},
+		{"drain timeouts are transient", StageDrain, errors.New("tunnels still open"), true},
 	}
 	for _, c := range cases {
 		if got := classifyRetryable(c.stage, c.err); got != c.want {
 			t.Errorf("%s: classifyRetryable(%s, %v) = %v, want %v", c.name, c.stage, c.err, got, c.want)
 		}
+	}
+}
+
+// TestDrainTimeoutFailsExperiment: a tunnel still open when the drain
+// wait runs out would leave the flow snapshot incomplete, so the attempt
+// fails at the drain stage, retryably, and counts in
+// campaign.drain_timeouts_total.
+func TestDrainTimeoutFailsExperiment(t *testing.T) {
+	reg := obs.New()
+	r := testRunner(t, Options{Scale: 0.05, Metrics: reg}, "weathernow")
+	r.drainTimeout = 50 * time.Millisecond
+	r.beforeDrain = func(px *proxy.Proxy) {
+		// A CONNECT whose client never starts the TLS handshake: once the
+		// 200 has arrived, the tunnel goroutine is counted and waits for a
+		// ClientHello until its 15s handshake deadline.
+		c, err := net.Dial("tcp", px.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		fmt.Fprint(c, "CONNECT weathernow.example:443 HTTP/1.1\r\nHost: weathernow.example:443\r\n\r\n")
+		if line, err := bufio.NewReader(c).ReadString('\n'); err != nil || !strings.Contains(line, "200") {
+			t.Fatalf("CONNECT: %q, %v", line, err)
+		}
+	}
+	_, err := r.RunExperiment(spec(t, r, "weathernow"), services.Cell{OS: services.Android, Medium: services.App})
+	var xerr *ExperimentError
+	if !errors.As(err, &xerr) {
+		t.Fatalf("err = %v, want an ExperimentError", err)
+	}
+	if xerr.Stage != StageDrain || !xerr.Retryable {
+		t.Errorf("stage = %q, retryable = %v; want %q, true (%v)", xerr.Stage, xerr.Retryable, StageDrain, err)
+	}
+	if got := reg.Counter("campaign.drain_timeouts_total").Value(); got != 1 {
+		t.Errorf("campaign.drain_timeouts_total = %d, want 1", got)
 	}
 }
 

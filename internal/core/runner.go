@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -169,16 +169,22 @@ type Runner struct {
 
 	ca    *proxy.CA // shared interception CA (the installed profile)
 	trust *x509.CertPool
-	// upstream is the proxy→origin TLS session cache every experiment's
-	// proxy shares, so only a campaign's first handshake with each origin
-	// runs in full (a scale-0.05 campaign runs 167 full upstream
-	// handshakes, far below the cache's 1024 entries). It lives exactly
-	// as long as the runner — one ecosystem, one origin CA — because
-	// resumed sessions are not re-verified against the roots.
-	upstream tls.ClientSessionCache
+	// upstream is the proxy→origin connection pool every experiment's
+	// proxy shares, so a connection one experiment opened serves the next
+	// (a scale-0.05 campaign opens about 174 upstream connections instead
+	// of 2703). It lives exactly as long as the runner — one ecosystem,
+	// one origin CA — because pooled connections and resumed sessions
+	// were verified once, against those roots.
+	upstream *http.Transport
 	// ids hands out campaign-unique flow IDs across every experiment's
 	// sink, so a bare flow ID names exactly one flow in traces.
 	ids *capture.IDSource
+	// drainTimeout bounds the wait for an experiment's proxy tunnels to
+	// record their flows once the session has ended.
+	drainTimeout time.Duration
+	// beforeDrain, when set, runs with the experiment's proxy just before
+	// that wait; tests use it to hold a tunnel open.
+	beforeDrain func(px *proxy.Proxy)
 }
 
 // NewRunner prepares a runner: it generates the interception CA and the
@@ -190,9 +196,11 @@ func NewRunner(eco *services.Ecosystem, opts Options) (*Runner, error) {
 	}
 	trust := ca.Pool()
 	trust.AppendCertsFromPEM(eco.Internet.CA.CertPEM())
+	opts = opts.withDefaults()
 	return &Runner{
-		Eco: eco, Opts: opts.withDefaults(), ca: ca, trust: trust,
-		upstream: tls.NewLRUClientSessionCache(1024), ids: &capture.IDSource{},
+		Eco: eco, Opts: opts, ca: ca, trust: trust,
+		upstream: proxy.NewUpstream(eco.Internet.Resolver, eco.Internet.CA.Pool(), opts.Metrics),
+		ids:      &capture.IDSource{}, drainTimeout: 2 * time.Second,
 	}, nil
 }
 
@@ -333,15 +341,14 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 	dev := device.NewDevice(cell.OS, deviceIndex(spec.Key))
 	identity := dev.Identity(device.NewAccount(spec.Key))
 	pxCfg := proxy.Config{
-		CA:               r.ca,
-		Resolver:         r.Eco.Internet.Resolver,
-		OriginPool:       r.Eco.Internet.CA.Pool(),
-		UpstreamSessions: r.upstream,
-		Sink:             sink,
-		Now:              clock.Now,
-		ClientID:         clientID,
-		Tracer:           tr,
-		SpanID:           span,
+		CA:       r.ca,
+		Resolver: r.Eco.Internet.Resolver,
+		Upstream: r.upstream,
+		Sink:     sink,
+		Now:      clock.Now,
+		ClientID: clientID,
+		Tracer:   tr,
+		SpanID:   span,
 	}
 	if r.Opts.Protect {
 		pxCfg.Rewriter = NewProtector(spec.Key, identity, r.Eco.Categorizer)
@@ -415,14 +422,22 @@ func (r *Runner) runExperimentSpanned(ctx context.Context, spec *services.Spec, 
 	result.BlockedRequests = sres.Blocked
 	result.Virtual = clock.Since(base)
 
+	// The session has closed its sockets and idle h2 connections, but the
+	// proxy-side tunnel goroutines record their flows only when they observe
+	// those closes — drain them before snapshotting the sink. A tunnel still
+	// open after the timeout would leave the snapshot incomplete, so the
+	// attempt fails (retryably) instead.
+	if r.beforeDrain != nil {
+		r.beforeDrain(px)
+	}
+	if !px.Drain(r.drainTimeout) {
+		reg.Counter("campaign.drain_timeouts_total").Inc()
+		return nil, &ExperimentError{Stage: StageDrain, Err: fmt.Errorf("core: %s: proxy tunnels still open after %v", clientID, r.drainTimeout)}
+	}
 	if err := r.inject(ctx, spec, cell, StageAnalysis, attempt); err != nil {
 		return nil, &ExperimentError{Stage: StageAnalysis, Err: err}
 	}
 	det := &Detector{Matcher: pii.NewMatcher(identity)}
-	// The session has closed its sockets and idle h2 connections, but the
-	// proxy-side tunnel goroutines record their flows only when they observe
-	// those closes — drain them before snapshotting the sink.
-	px.Drain(2 * time.Second)
 	raw := sink.Flows()
 	analysisStage := tr.Stage(span, "analysis")
 	flows := r.analyze(spec, result, det, raw, span)

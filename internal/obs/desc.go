@@ -32,6 +32,7 @@ var descriptions = map[string]MetricDesc{
 	"proxy.tunnel_failures_total":      {Type: "counter", Help: "TLS-intercept failures: handshakes that failed or timed out, or tunnels aborted before the first request."},
 	"proxy.tls.intercept_handshakes":   {Type: "counter", Labels: []string{"resumed"}, Help: "Completed intercept TLS handshakes, by whether the device resumed an earlier session with the proxy (true) or ran a full handshake (false)."},
 	"proxy.upstream_errors_total":      {Type: "counter", Help: "502s returned because the upstream dial or round-trip failed."},
+	"proxy.upstream_dials_total":       {Type: "counter", Help: "Proxy-to-origin TCP connections opened, by the upstream pool and by WebSocket origin dials: the pool's miss count."},
 	"proxy.bytes_up_total":             {Type: "counter", Help: "Approximate request wire bytes through all proxies."},
 	"proxy.bytes_down_total":           {Type: "counter", Help: "Approximate response wire bytes through all proxies."},
 	"proxy.flow_bytes":                 {Type: "histogram", Unit: "bytes", Help: "Wire size (up + down) of one captured exchange."},
@@ -69,19 +70,20 @@ var descriptions = map[string]MetricDesc{
 	"recon.eval_ns":           {Type: "histogram", Unit: "ns", Help: "One evaluation pass over labeled flows."},
 
 	// internal/core
-	"campaign.experiments_total": {Type: "counter", Help: "Experiments completed (including pinning exclusions)."},
-	"campaign.excluded_total":    {Type: "counter", Help: "Experiments excluded because certificate pinning prevented decryption."},
-	"campaign.retries":           {Type: "counter", Help: "Experiment attempts retried after a transient failure (exponential backoff)."},
-	"campaign.skipped":           {Type: "counter", Help: "Experiments dropped by the skip/retry-then-skip failure policies."},
-	"campaign.deadline_exceeded": {Type: "counter", Help: "Experiment attempts cut down by Options.ExperimentTimeout."},
-	"campaign.resumed":           {Type: "counter", Help: "Experiments replayed from a -resume journal instead of re-measured."},
-	"campaign.stale_resume":      {Type: "counter", Help: "Resume-journal records that matched no experiment in the current campaign spec; ignored."},
-	"campaign.flows_total":       {Type: "counter", Help: "Post-filter (foreground) flows analyzed."},
-	"campaign.leaks_total":       {Type: "counter", Help: "Leak records produced by the paper's 3.2 policy."},
-	"campaign.inflight":          {Type: "gauge", Help: "Experiments currently executing (bounded by Options.Parallelism)."},
-	"campaign.jobs":              {Type: "gauge", Help: "Total experiments in the running campaign (set once at campaign start)."},
-	"campaign.experiment_ns":     {Type: "histogram", Unit: "ns", Help: "Whole experiment: proxy boot, session, analysis, trace save."},
-	"stage":                      {Type: "histogram", Unit: "ns", Labels: []string{"stage"}, Help: "Pipeline stage wall time per experiment (session, filter, detect, categorize, recon)."},
+	"campaign.experiments_total":    {Type: "counter", Help: "Experiments completed (including pinning exclusions)."},
+	"campaign.excluded_total":       {Type: "counter", Help: "Experiments excluded because certificate pinning prevented decryption."},
+	"campaign.retries":              {Type: "counter", Help: "Experiment attempts retried after a transient failure (exponential backoff)."},
+	"campaign.skipped":              {Type: "counter", Help: "Experiments dropped by the skip/retry-then-skip failure policies."},
+	"campaign.deadline_exceeded":    {Type: "counter", Help: "Experiment attempts cut down by Options.ExperimentTimeout."},
+	"campaign.drain_timeouts_total": {Type: "counter", Help: "Experiment attempts failed at the drain stage: a proxy tunnel was still open after the session, so the flow snapshot would have been incomplete."},
+	"campaign.resumed":              {Type: "counter", Help: "Experiments replayed from a -resume journal instead of re-measured."},
+	"campaign.stale_resume":         {Type: "counter", Help: "Resume-journal records that matched no experiment in the current campaign spec; ignored."},
+	"campaign.flows_total":          {Type: "counter", Help: "Post-filter (foreground) flows analyzed."},
+	"campaign.leaks_total":          {Type: "counter", Help: "Leak records produced by the paper's 3.2 policy."},
+	"campaign.inflight":             {Type: "gauge", Help: "Experiments currently executing (bounded by Options.Parallelism)."},
+	"campaign.jobs":                 {Type: "gauge", Help: "Total experiments in the running campaign (set once at campaign start)."},
+	"campaign.experiment_ns":        {Type: "histogram", Unit: "ns", Help: "Whole experiment: proxy boot, session, analysis, trace save."},
+	"stage":                         {Type: "histogram", Unit: "ns", Labels: []string{"stage"}, Help: "Pipeline stage wall time per experiment (session, filter, detect, categorize, recon)."},
 
 	// internal/shard
 	"campaign.shards":           {Type: "gauge", Help: "Shard count of the running distributed campaign (set once by the coordinator)."},

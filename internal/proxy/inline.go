@@ -181,11 +181,14 @@ func (t *inlineTee) Close() error { return t.rc.Close() }
 // finish combines the body stream's matches with batch scans of the URL
 // and headers into the flow's verdict, applying the redact action to the
 // URL and body. It returns a nil verdict (and the inputs unchanged) when
-// the flow carries no ground-truth PII. Must be called before release.
+// the flow carries no ground-truth PII. It releases the scanner before
+// returning — the verdict holds copies of its matches — so the scanner is
+// back in the pool before the upstream exchange and the client's response.
 func (in *inlineInspection) finish(absURL string, hdr http.Header, body []byte) (*capture.InlineVerdict, string, []byte) {
 	if in == nil {
 		return nil, absURL, body
 	}
+	defer in.release()
 	g := in.g
 	iv, types := in.collect(absURL, hdr)
 	if iv == nil {

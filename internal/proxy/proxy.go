@@ -32,7 +32,9 @@ type Config struct {
 	// Resolver locates upstream servers. Required.
 	Resolver Resolver
 	// OriginPool holds the roots the proxy trusts when dialing upstream
-	// TLS servers (the simulated web PKI). Nil means system roots.
+	// TLS servers (the simulated web PKI) through its private pool. Nil
+	// means system roots. Ignored when Upstream is set: the pool carries
+	// its own roots.
 	OriginPool *x509.CertPool
 	// Sink receives one capture.Flow per exchange. Required.
 	Sink capture.Sink
@@ -58,14 +60,15 @@ type Config struct {
 	// because by this point interception has demonstrably worked.
 	// Defaults to 5m; negative disables.
 	IdleTimeout time.Duration
-	// UpstreamSessions caches the proxy's TLS sessions with upstream
-	// servers, so a later handshake with the same host resumes instead of
-	// running in full. Nil gives the proxy a cache of its own. Proxies
-	// may share one cache — the campaign runner passes one to every
-	// experiment — but only while they share OriginPool: a resumed session
-	// skips chain verification, so a cache must not outlive the roots
-	// that verified its sessions.
-	UpstreamSessions tls.ClientSessionCache
+	// Upstream is the proxy→origin connection pool, built by NewUpstream.
+	// Nil gives the proxy a private pool, whose idle connections Close
+	// releases. A pool passed in belongs to the caller and outlives the
+	// proxy: Close leaves it alone. Proxies may share one pool — the
+	// campaign runner passes one to every experiment, so a connection one
+	// experiment opened serves the next — but only for one set of origin
+	// roots: pooled connections and resumed sessions were verified once,
+	// against the roots the pool was built with, and must not outlive them.
+	Upstream *http.Transport
 	// Rewriter, when set, may rewrite each intercepted request before it
 	// is forwarded upstream — the ReCon-style protection mode the paper's
 	// conclusion proposes. Recorded flows reflect what actually reached
@@ -106,6 +109,7 @@ type Proxy struct {
 	// CONNECT host the notifyConn carries.
 	intercept *tls.Config
 	upstream  *http.Transport
+	ownPool   bool              // upstream is private: Close releases it
 	rt        http.RoundTripper // p.upstream, swappable by benchmarks
 	srv       *http.Server
 	ln        net.Listener
@@ -239,21 +243,14 @@ func New(cfg Config) (*Proxy, error) {
 	} else if cfg.IdleTimeout < 0 {
 		cfg.IdleTimeout = 0
 	}
-	if cfg.UpstreamSessions == nil {
-		cfg.UpstreamSessions = tls.NewLRUClientSessionCache(256)
-	}
 	p := &Proxy{
-		cfg:     cfg,
-		metrics: newProxyMetrics(cfg.Metrics),
-		upstream: &http.Transport{
-			DialContext: DialContext(cfg.Resolver),
-			TLSClientConfig: &tls.Config{
-				RootCAs:            cfg.OriginPool,
-				ClientSessionCache: cfg.UpstreamSessions,
-			},
-			MaxIdleConnsPerHost: 8,
-			IdleConnTimeout:     30 * time.Second,
-		},
+		cfg:      cfg,
+		metrics:  newProxyMetrics(cfg.Metrics),
+		upstream: cfg.Upstream,
+	}
+	if p.upstream == nil {
+		p.upstream = NewUpstream(cfg.Resolver, cfg.OriginPool, cfg.Metrics)
+		p.ownPool = true
 	}
 	if cfg.CA != nil {
 		p.intercept = &tls.Config{
@@ -264,6 +261,36 @@ func New(cfg Config) (*Proxy, error) {
 	p.rt = p.upstream
 	p.srv = &http.Server{Handler: p}
 	return p, nil
+}
+
+// NewUpstream builds a proxy→origin connection pool for Config.Upstream:
+// it dials through the resolver, verifies origins against roots (nil means
+// system roots), resumes TLS sessions from an LRU cache, and keeps up to 8
+// idle connections per host for 30s. Every TCP connection it opens counts
+// in reg's proxy.upstream_dials_total (nil means obs.Default) — the pool's
+// miss count.
+func NewUpstream(r Resolver, roots *x509.CertPool, reg *obs.Registry) *http.Transport {
+	if reg == nil {
+		reg = obs.Default
+	}
+	dials := reg.Counter("proxy.upstream_dials_total")
+	dial := DialContext(r)
+	return &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := dial(ctx, network, addr)
+			if err == nil {
+				dials.Inc()
+			}
+			return c, err
+		},
+		TLSClientConfig: &tls.Config{
+			RootCAs: roots,
+			// A scale-0.05 campaign talks to about 170 origins.
+			ClientSessionCache: tls.NewLRUClientSessionCache(1024),
+		},
+		MaxIdleConnsPerHost: 8,
+		IdleConnTimeout:     30 * time.Second,
+	}
 }
 
 // interceptCert mints (or reuses) the leaf for one intercepted
@@ -326,7 +353,8 @@ func (p *Proxy) Drain(timeout time.Duration) bool {
 	}
 }
 
-// Close shuts the proxy down and releases its upstream connections.
+// Close shuts the proxy down and releases the idle connections of its
+// private upstream pool; a shared Config.Upstream stays open.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -335,7 +363,9 @@ func (p *Proxy) Close() error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	p.upstream.CloseIdleConnections()
+	if p.ownPool {
+		p.upstream.CloseIdleConnections()
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return p.srv.Shutdown(ctx)
@@ -653,6 +683,11 @@ func (p *Proxy) outboundRequest(r *http.Request, absURL string, body []byte) *ht
 	}
 	if len(body) > 0 {
 		out.Body = io.NopCloser(bytes.NewReader(body))
+		// GetBody lets the transport replay the request when a pooled
+		// connection turns out to have been closed by the origin.
+		out.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
 	}
 	return out.WithContext(r.Context())
 }

@@ -447,6 +447,36 @@ func TestWriteSimpleResponseParseable(t *testing.T) {
 	}
 }
 
+// TestOutboundRequestReplayable: the upstream copy of a request with a
+// body carries GetBody, so the transport can resend it when a pooled
+// connection turns out to be closed, and GetBody yields the whole body
+// again after the first copy has been consumed.
+func TestOutboundRequestReplayable(t *testing.T) {
+	const body = "email=jane%40x.example&note=hello"
+	r, err := http.NewRequest(http.MethodPost, "https://svc.example/form", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := (&Proxy{}).outboundRequest(r, "https://svc.example/form", []byte(body))
+	if got, _ := io.ReadAll(out.Body); string(got) != body {
+		t.Fatalf("first body = %q, want %q", got, body)
+	}
+	if out.GetBody == nil {
+		t.Fatal("GetBody is nil: a POST on a closed pooled connection cannot be replayed")
+	}
+	for i := 0; i < 2; i++ {
+		rc, err := out.GetBody()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(rc)
+		rc.Close()
+		if string(got) != body {
+			t.Fatalf("GetBody #%d = %q, want %q", i+1, got, body)
+		}
+	}
+}
+
 func BenchmarkProxyHTTPS(b *testing.B) {
 	originCA, _ := NewCA("Origin Root")
 	proxyCA, _ := NewCA("Proxy CA")

@@ -14,6 +14,7 @@ import (
 
 	"appvsweb/internal/capture"
 	"appvsweb/internal/obs"
+	"appvsweb/internal/ws"
 )
 
 // startProxy builds and starts a proxy for cfg, closed at test end.
@@ -142,38 +143,83 @@ func TestPinnedClientNeverResumes(t *testing.T) {
 	}
 }
 
-// TestSharedUpstreamSessions: two proxies sharing an UpstreamSessions
-// cache — as a campaign's experiments do — let the second proxy's first
-// upstream handshake resume the session the first proxy established; a
-// proxy with its own cache runs that handshake in full.
+// TestSharedUpstreamSessions: proxies sharing an Upstream pool share its
+// session cache, so the second proxy's WebSocket origin dial — a raw dial
+// the pool never reuses — resumes the session the first proxy's dial
+// established; a proxy with a private pool runs that handshake in full.
 func TestSharedUpstreamSessions(t *testing.T) {
 	w := newWorld(t)
 	var mu sync.Mutex
 	var resumed []bool
-	w.serveTLS("svc.example", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+	echo := wsEchoHandler()
+	w.serveTLS("chat.example", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		resumed = append(resumed, r.TLS.DidResume)
 		mu.Unlock()
+		echo.ServeHTTP(rw, r)
 	}))
-	shared := tls.NewLRUClientSessionCache(8)
-	pool := w.proxyCA.Pool()
-	pool.AddCert(w.originCA.cert)
-	for _, sessions := range []tls.ClientSessionCache{shared, shared, nil} {
-		p := startProxy(t, Config{
+	shared := NewUpstream(w.resolver, w.originCA.Pool(), obs.New())
+	for _, up := range []*http.Transport{shared, shared, nil} {
+		w.proxy = startProxy(t, Config{
 			CA: w.proxyCA, Resolver: w.resolver, OriginPool: w.originCA.Pool(),
-			Sink: capture.NewMemSink(), UpstreamSessions: sessions,
+			Sink: capture.NewMemSink(), Upstream: up, Metrics: obs.New(),
 		})
-		client := &http.Client{Transport: ClientTransport(p.URL(), pool), Timeout: 5 * time.Second}
-		resp, err := client.Get("https://svc.example/")
-		if err != nil {
+		c := w.wsDial(t, "wss://chat.example/ws")
+		if err := c.WriteMessage(ws.OpText, []byte("hi")); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		p.Close()
+		if _, _, err := c.ReadMessage(); err != nil {
+			t.Fatal(err)
+		}
+		c.NetConn().Close()
+		w.proxy.Close()
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if want := []bool{false, true, false}; fmt.Sprint(resumed) != fmt.Sprint(want) {
 		t.Fatalf("origin-side DidResume per proxy = %v, want %v (shared first, shared second, private)", resumed, want)
+	}
+}
+
+// TestSharedUpstreamPool: two proxies sharing an Upstream pool send their
+// requests down one origin connection, which outlives the first proxy's
+// Close because a shared pool belongs to its caller; a proxy with a
+// private pool dials its own. proxy.upstream_dials_total counts the two
+// dials.
+func TestSharedUpstreamPool(t *testing.T) {
+	w := newWorld(t)
+	var mu sync.Mutex
+	var remotes []string
+	w.serveTLS("svc.example", http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		remotes = append(remotes, r.RemoteAddr)
+		mu.Unlock()
+		io.WriteString(rw, "ok") //nolint:errcheck
+	}))
+	reg := obs.New()
+	shared := NewUpstream(w.resolver, w.originCA.Pool(), reg)
+	trust := w.proxyCA.Pool()
+	trust.AddCert(w.originCA.cert)
+	for _, up := range []*http.Transport{shared, shared, nil} {
+		p := startProxy(t, Config{
+			CA: w.proxyCA, Resolver: w.resolver, OriginPool: w.originCA.Pool(),
+			Sink: capture.NewMemSink(), Upstream: up, Metrics: reg,
+		})
+		client := &http.Client{Transport: ClientTransport(p.URL(), trust), Timeout: 5 * time.Second}
+		resp, err := client.Get("https://svc.example/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		p.Close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(remotes) != 3 || remotes[0] != remotes[1] || remotes[2] == remotes[0] {
+		t.Fatalf("origin-side RemoteAddr per proxy = %v, want shared, shared (same), private (different)", remotes)
+	}
+	if got := reg.Counter("proxy.upstream_dials_total").Value(); got != 2 {
+		t.Errorf("proxy.upstream_dials_total = %d, want 2 (one shared, one private)", got)
 	}
 }

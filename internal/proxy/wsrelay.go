@@ -164,14 +164,18 @@ func (p *Proxy) serveWSTunnel(clientConn net.Conn, br *bufio.Reader, r *http.Req
 
 // dialOriginTLS opens the upstream TLS connection for a relayed socket.
 func (p *Proxy) dialOriginTLS(ctx context.Context, host string) (*tls.Conn, error) {
-	raw, err := DialContext(p.cfg.Resolver)(ctx, "tcp", net.JoinHostPort(host, "443"))
+	// The pool's dialer counts the connection; its TLS config holds the
+	// roots and the session cache, so a relayed socket resumes like a
+	// pooled exchange.
+	raw, err := p.upstream.DialContext(ctx, "tcp", net.JoinHostPort(host, "443"))
 	if err != nil {
 		return nil, err
 	}
+	up := p.upstream.TLSClientConfig
 	tc := tls.Client(raw, &tls.Config{
-		RootCAs:            p.cfg.OriginPool,
+		RootCAs:            up.RootCAs,
 		ServerName:         host,
-		ClientSessionCache: p.cfg.UpstreamSessions,
+		ClientSessionCache: up.ClientSessionCache,
 	})
 	tc.SetDeadline(time.Now().Add(p.cfg.HandshakeTimeout)) //nolint:errcheck // TCP conns accept deadlines
 	if err := tc.HandshakeContext(ctx); err != nil {
